@@ -10,10 +10,13 @@
 //! full policy set on one cluster. After the Criterion pass the bench
 //! writes `BENCH_sched.json` at the repository root.
 //!
+//! Each policy's replay is timed on its own and reported with the number
+//! of simulation events it processed, so events/s compares across hosts.
+//!
 //! Two claims are asserted in-bench on every run (so CI's capped smoke
 //! checks them too):
-//!  - determinism: two replays of the same workload produce identical
-//!    reports, field for field;
+//!  - determinism: every policy's row in the full report equals its own
+//!    timed replay, field for field;
 //!  - the group-informed policy's median JCT never loses to FIFO's.
 
 use std::fmt::Write as _;
@@ -116,9 +119,7 @@ fn setup(replay_jobs: usize) -> Setup {
 
 /// Weak-scaling cluster: machine count grows with the replay size so
 /// jobs-per-machine contention (and so scheduling pressure) stays
-/// comparable across tiers. Per-event simulator cost is O(ready-queue
-/// length), so holding the backlog roughly constant is also what keeps
-/// the 100k tier tractable.
+/// comparable across tiers.
 fn sim_cfg(replay_jobs: usize) -> SimConfig {
     SimConfig {
         cluster: ClusterConfig {
@@ -155,7 +156,8 @@ struct SizeResult {
     machines: usize,
     compression: f64,
     setup_secs: f64,
-    replay_secs: f64,
+    /// Wall-clock seconds of each policy's own replay, in report order.
+    policy_secs: Vec<f64>,
     report: ReplayReport,
 }
 
@@ -166,14 +168,21 @@ fn measure_size(replay_jobs: usize) -> SizeResult {
     let policies = policy_set(&s.predictor);
     let cfg = sim_cfg(replay_jobs);
 
-    let clock = Instant::now();
-    let report = replay(&cfg, &s.jobs, &policies).expect("replay succeeds");
-    let replay_secs = clock.elapsed().as_secs_f64();
+    let mut policy_secs = Vec::with_capacity(policies.len());
+    let mut solo = Vec::with_capacity(policies.len());
+    for policy in &policies {
+        let clock = Instant::now();
+        let one = replay(&cfg, &s.jobs, std::slice::from_ref(policy)).expect("replay succeeds");
+        policy_secs.push(clock.elapsed().as_secs_f64());
+        solo.extend(one.outcomes.into_iter().map(|o| o.metrics));
+    }
 
-    // Determinism: a second replay of the same workload is identical,
-    // field for field.
-    let again = replay(&cfg, &s.jobs, &policies).expect("replay succeeds");
-    assert_eq!(report, again, "replay must be deterministic");
+    // The full report (regret needs every policy's row). Determinism: each
+    // row equals the policy's own timed replay, field for field.
+    let report = replay(&cfg, &s.jobs, &policies).expect("replay succeeds");
+    for (o, m) in report.outcomes.iter().zip(&solo) {
+        assert_eq!(&o.metrics, m, "replay must be deterministic");
+    }
 
     // The group-informed policy's median JCT never loses to FIFO's —
     // the paper's premise (topology predicts cost) in one inequality.
@@ -191,7 +200,7 @@ fn measure_size(replay_jobs: usize) -> SizeResult {
         machines: cfg.cluster.machines,
         compression: cfg.arrival_compression,
         setup_secs,
-        replay_secs,
+        policy_secs,
         report,
     }
 }
@@ -204,7 +213,7 @@ fn write_bench_json(results: &[SizeResult]) {
             sizes.push_str(",\n");
         }
         let mut rows = String::new();
-        for (j, o) in r.report.outcomes.iter().enumerate() {
+        for (j, (o, secs)) in r.report.outcomes.iter().zip(&r.policy_secs).enumerate() {
             if j > 0 {
                 rows.push_str(",\n");
             }
@@ -214,7 +223,8 @@ fn write_bench_json(results: &[SizeResult]) {
                 rows,
                 "        {{\"policy\": \"{}\", \"mean_jct\": {:.3}, \"p50_jct\": {}, \
                  \"p95_jct\": {}, \"p99_jct\": {}, \"makespan\": {}, \"utilization\": {:.6}, \
-                 \"unknown_jobs\": {}, \"regret_vs_sjf\": {}, \"regret_vs_cp\": {}}}",
+                 \"unknown_jobs\": {}, \"regret_vs_sjf\": {}, \"regret_vs_cp\": {}, \
+                 \"replay_secs\": {:.3}, \"events\": {}, \"events_per_sec\": {:.0}}}",
                 m.policy,
                 m.mean_jct,
                 m.p50_jct,
@@ -225,6 +235,9 @@ fn write_bench_json(results: &[SizeResult]) {
                 m.unknown_jobs,
                 regret(o.regret_vs_sjf),
                 regret(o.regret_vs_cp),
+                secs,
+                m.events,
+                m.events as f64 / secs.max(1e-9),
             )
             .unwrap();
         }
@@ -233,7 +246,12 @@ fn write_bench_json(results: &[SizeResult]) {
             "    {{\n      \"jobs\": {}, \"machines\": {}, \"arrival_compression\": {}, \
              \"setup_secs\": {:.3}, \"replay_secs\": {:.3}, \
              \"deterministic\": true,\n      \"policies\": [\n{}\n      ]\n    }}",
-            r.jobs, r.machines, r.compression, r.setup_secs, r.replay_secs, rows,
+            r.jobs,
+            r.machines,
+            r.compression,
+            r.setup_secs,
+            r.policy_secs.iter().sum::<f64>(),
+            rows,
         )
         .unwrap();
     }
@@ -241,13 +259,15 @@ fn write_bench_json(results: &[SizeResult]) {
         "{{\n  \"bench\": \"sched_replay\",\n  \"host_parallelism\": {host},\n  \
          \"sizes\": [\n{sizes}\n  ],\n  \
          \"note\": \"machines scale with replay size (weak scaling: comparable \
-         jobs-per-machine contention at every tier). replay_secs covers all six policies \
-         over one workload; deterministic=true \
-         is asserted in-bench by running each replay twice and comparing reports field for \
-         field. setup_secs covers the offline pipeline fit, per-group profile construction, \
-         and classifying every replayed job through the frozen model. The bench also asserts \
-         group-sjf p50 JCT <= fifo p50 JCT at every size. regret columns are relative \
-         mean-JCT excess over the perfect-knowledge oracles\"\n}}\n"
+         jobs-per-machine contention at every tier). Each policy row's replay_secs times that \
+         policy's own replay and events counts the simulation events it processed (a \
+         host-independent work counter); the size-level replay_secs is their sum. \
+         deterministic=true is asserted in-bench: every row of the full report equals its \
+         policy's timed replay field for field. setup_secs covers the offline pipeline fit, \
+         per-group profile construction, and classifying every replayed job through the \
+         frozen model. The bench also asserts group-sjf p50 JCT <= fifo p50 JCT at every \
+         size. regret columns are relative mean-JCT excess over the perfect-knowledge \
+         oracles\"\n}}\n"
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_sched.json");
     if let Err(e) = std::fs::write(path, json) {

@@ -108,6 +108,48 @@ impl Cluster {
     }
 }
 
+/// The Pareto front of the machines' free `(cpu, mem)` vectors: steps in
+/// strictly decreasing CPU and strictly increasing memory. It answers
+/// "would [`Cluster::place`] find a machine for `(cpu, mem)`?" with the
+/// same `>=` comparisons on the same values, without scanning machines.
+#[derive(Debug, Default)]
+pub(crate) struct Staircase {
+    steps: Vec<(f64, f64)>,
+}
+
+impl Staircase {
+    /// Recompute the front from the cluster's current free capacity, by
+    /// insertion (machine counts are small; no sort).
+    pub(crate) fn rebuild(&mut self, cluster: &Cluster) {
+        self.steps.clear();
+        for (&c, &m) in cluster.cpu_free.iter().zip(&cluster.mem_free) {
+            // Steps before `at` have more CPU than the newcomer, which is
+            // dominated if the last of them, or a step with equal CPU, has
+            // at least its memory.
+            let at = self.steps.partition_point(|&(sc, _)| sc > c);
+            if self
+                .steps
+                .get(at)
+                .is_some_and(|&(sc, sm)| sc >= c && sm >= m)
+                || (at > 0 && self.steps[at - 1].1 >= m)
+            {
+                continue; // dominated
+            }
+            // The newcomer dominates the steps right of it whose memory
+            // does not exceed its own.
+            let end = at + self.steps[at..].partition_point(|&(_, sm)| sm <= m);
+            self.steps.splice(at..end, [(c, m)]);
+        }
+    }
+
+    /// True when some machine has `cpu_free >= cpu && mem_free >= mem`.
+    pub(crate) fn fits(&self, cpu: f64, mem: f64) -> bool {
+        // Steps with enough CPU form a prefix; its last holds the most memory.
+        let k = self.steps.partition_point(|&(sc, _)| sc >= cpu);
+        k > 0 && self.steps[k - 1].1 >= mem
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -152,6 +194,48 @@ mod tests {
         assert!((c.cpu_utilization() - 0.5).abs() < 1e-12);
         assert_eq!(c.total_cpu(), 200.0);
         assert_eq!(c.free_cpu(), 100.0);
+    }
+
+    #[test]
+    fn staircase_fits_agrees_with_place() {
+        // Free vectors from a small grid so ties and duplicate machines
+        // are common; queries cover the grid values and points between.
+        let cpus = [0.0, 25.0, 50.0, 75.0, 100.0];
+        let mems = [0.0, 0.25, 0.5, 0.75, 1.0];
+        let mut state = 7u64;
+        let mut next = |n: usize| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) as usize % n
+        };
+        let mut stairs = Staircase::default();
+        for _ in 0..300 {
+            let machines = 1 + next(8);
+            let mut c = Cluster::new(ClusterConfig {
+                machines,
+                cpu_per_machine: 100.0,
+                mem_per_machine: 1.0,
+            });
+            for m in 0..machines {
+                c.cpu_free[m] = cpus[next(cpus.len())];
+                c.mem_free[m] = mems[next(mems.len())];
+            }
+            stairs.rebuild(&c);
+            for pair in stairs.steps.windows(2) {
+                assert!(
+                    pair[0].0 > pair[1].0 && pair[0].1 < pair[1].1,
+                    "{:?}",
+                    stairs.steps
+                );
+            }
+            for cpu in cpus.iter().flat_map(|&v| [v, v + 12.5]) {
+                for mem in mems.iter().flat_map(|&v| [v, v + 0.125]) {
+                    let placed = c.clone().place(cpu, mem).is_some();
+                    assert_eq!(stairs.fits(cpu, mem), placed, "({cpu}, {mem}) on {c:?}");
+                }
+            }
+        }
     }
 
     #[test]

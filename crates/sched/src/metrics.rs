@@ -73,6 +73,10 @@ pub struct SimMetrics {
     /// always report 0; prediction-driven policies count every job that
     /// fell back to its neutral / pessimistic key).
     pub unknown_jobs: u64,
+    /// Distinct event times the simulation stopped at (arrivals, finishes,
+    /// online-load reconfigurations), each ending in one dispatch pass —
+    /// the simulator's unit of work, independent of the host.
+    pub events: u64,
 }
 
 impl SimMetrics {
@@ -101,6 +105,7 @@ impl SimMetrics {
             mean_utilization,
             evictions: 0,
             unknown_jobs: 0,
+            events: 0,
         }
     }
 

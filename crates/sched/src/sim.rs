@@ -1,12 +1,49 @@
 //! The discrete-event simulation loop.
+//!
+//! # Dispatch
+//!
+//! Every event (arrivals, finishes, an online-load reconfiguration) ends
+//! with one dispatch pass: in frozen policy order, place every instance
+//! of every ready task that fits somewhere, next-fit from the cluster's
+//! cursor. The pass visits only tasks that can fit, and still places
+//! exactly what a walk over the whole backlog would:
+//!
+//! * **Static rank.** Policy keys are frozen at admission, so the
+//!   dispatch order `(job key, job index, downstream critical path
+//!   descending, node)` over all `(job, node)` pairs never changes. It is
+//!   sorted once; the ready set is a set of ranks.
+//! * **Capacity only shrinks within a pass**, so a task that cannot fit
+//!   when the pass reaches it cannot fit later in the same pass.
+//! * **A failed [`Cluster::place`] leaves the cursor unchanged**, so
+//!   skipping a task that cannot fit is indistinguishable from trying it.
+//!
+//! The pass is therefore: in rank order, place every instance that fits
+//! and leave every task that cannot fit untouched. Ready tasks sit in a
+//! segment tree over ranks (`ReadyTree`) whose nodes hold the least CPU
+//! and the least memory any ready task below them asks for. A staircase
+//! of the machines' free `(cpu, mem)` vectors answers "does this fit
+//! anywhere?" with the same `>=` tests `place` makes, so the pass
+//! repeatedly takes the leftmost ready rank after the last one visited,
+//! skipping every subtree whose `(min cpu, min mem)` fits no machine, and
+//! runs the next-fit loop on it. It ends when the root does not fit.
+//!
+//! Cost per pass: O((placed tasks + pruned misses) · log T) tree steps
+//! for T tasks, each a binary search of the staircase — independent of
+//! the backlog of ready tasks that cannot fit, which a linear walk paid
+//! for on every event. A `#[cfg(test)]` reference simulator keeps that
+//! walk and a seeded test compares the two field for field.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use crate::cluster::{Cluster, ClusterConfig};
+use crate::cluster::{Cluster, ClusterConfig, Staircase};
 use crate::metrics::SimMetrics;
-use crate::policy::Policy;
+use crate::policy::{FrozenKeys, Policy};
 use crate::workload::SimJob;
+use dagscope_trace::InstanceRecord;
+
+#[cfg(test)]
+mod reference;
 
 /// Diurnal online-service load co-located with the batch workload
 /// (Section II: online jobs outrank batch, which backfills what is left).
@@ -81,11 +118,141 @@ struct JobState {
     finish_time: Option<i64>,
 }
 
-/// A ready task reference in the dispatch queue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct ReadyTask {
-    job: usize,
-    node: usize,
+/// A queued finish event:
+/// `(finish_time, seq, job, node, machine, start_time)`.
+type Finish = Reverse<(i64, u64, usize, usize, usize, i64)>;
+
+/// Ready tasks keyed by static dispatch rank: a segment tree whose every
+/// node holds the least CPU and the least memory demand among the ready
+/// tasks below it (`+inf` where none is ready). The two minima may come
+/// from different tasks, so a fitting node only *may* hold a fitting task;
+/// a node that does not fit holds none.
+#[derive(Debug)]
+struct ReadyTree {
+    /// Leaf count, a power of two; node 1 is the root, node `i` has
+    /// children `2i` and `2i + 1`, rank `r` is leaf `leaves + r`.
+    leaves: usize,
+    min: Vec<[f64; 2]>,
+    len: usize,
+}
+
+impl ReadyTree {
+    const EMPTY: [f64; 2] = [f64::INFINITY; 2];
+
+    fn new(ranks: usize) -> ReadyTree {
+        let leaves = ranks.next_power_of_two();
+        ReadyTree {
+            leaves,
+            min: vec![Self::EMPTY; 2 * leaves],
+            len: 0,
+        }
+    }
+
+    fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    fn insert(&mut self, rank: usize, cpu: f64, mem: f64) {
+        self.len += 1;
+        self.set(rank, [cpu, mem]);
+    }
+
+    fn remove(&mut self, rank: usize) {
+        self.len -= 1;
+        self.set(rank, Self::EMPTY);
+    }
+
+    fn set(&mut self, rank: usize, demand: [f64; 2]) {
+        let mut i = self.leaves + rank;
+        self.min[i] = demand;
+        while i > 1 {
+            i /= 2;
+            let (l, r) = (self.min[2 * i], self.min[2 * i + 1]);
+            self.min[i] = [l[0].min(r[0]), l[1].min(r[1])];
+        }
+    }
+
+    /// The leftmost ready rank `>= from` whose demand `fits`.
+    fn next_fit(&self, from: usize, fits: &impl Fn(f64, f64) -> bool) -> Option<usize> {
+        self.find(1, 0, self.leaves, from, fits)
+    }
+
+    fn find(
+        &self,
+        node: usize,
+        lo: usize,
+        width: usize,
+        from: usize,
+        fits: &impl Fn(f64, f64) -> bool,
+    ) -> Option<usize> {
+        let [cpu, mem] = self.min[node];
+        if lo + width <= from || !fits(cpu, mem) {
+            return None;
+        }
+        if width == 1 {
+            return Some(lo);
+        }
+        let half = width / 2;
+        self.find(2 * node, lo, half, from, fits)
+            .or_else(|| self.find(2 * node + 1, lo + half, half, from, fits))
+    }
+}
+
+/// Eviction bookkeeping, kept only when eviction is on. Each machine
+/// lists its live instance seqs, youngest pushed last; a finish
+/// `swap_remove`s its entry and an eviction pops the last one, so the
+/// list order (and with it every victim choice) is part of the schedule.
+/// Per instance seq: its `(job, node)` and its slot in that list, or
+/// `EVICTED` — the tombstone its still-queued finish event is dropped by.
+#[derive(Debug)]
+struct LiveSet {
+    on_machine: Vec<Vec<u64>>,
+    task: Vec<(u32, u32)>,
+    slot: Vec<u32>,
+}
+
+impl LiveSet {
+    const EVICTED: u32 = u32::MAX;
+
+    fn new(machines: usize) -> LiveSet {
+        // Seqs start at 1; entry 0 is a placeholder.
+        LiveSet {
+            on_machine: vec![Vec::new(); machines],
+            task: vec![(0, 0)],
+            slot: vec![Self::EVICTED],
+        }
+    }
+
+    fn start(&mut self, seq: u64, machine: usize, job: usize, node: usize) {
+        debug_assert_eq!(seq as usize, self.task.len());
+        let list = &mut self.on_machine[machine];
+        self.slot.push(list.len() as u32);
+        self.task.push((job as u32, node as u32));
+        list.push(seq);
+    }
+
+    /// Retire a finished instance; `false` when it was evicted earlier
+    /// (its capacity is already back).
+    fn finish(&mut self, seq: u64, machine: usize) -> bool {
+        let pos = self.slot[seq as usize];
+        if pos == Self::EVICTED {
+            return false;
+        }
+        let list = &mut self.on_machine[machine];
+        list.swap_remove(pos as usize);
+        if let Some(&moved) = list.get(pos as usize) {
+            self.slot[moved as usize] = pos;
+        }
+        true
+    }
+
+    /// Kill the youngest live instance on `machine`: its `(job, node)`.
+    fn evict_youngest(&mut self, machine: usize) -> Option<(usize, usize)> {
+        let victim = self.on_machine[machine].pop()? as usize;
+        self.slot[victim] = Self::EVICTED;
+        let (job, node) = self.task[victim];
+        Some((job as usize, node as usize))
+    }
 }
 
 /// The simulator. Deterministic: identical inputs produce identical
@@ -117,18 +284,15 @@ impl Simulator {
     pub fn run_with_trace(
         &self,
         jobs: &[SimJob],
-    ) -> Result<(SimMetrics, Vec<dagscope_trace::InstanceRecord>), String> {
+    ) -> Result<(SimMetrics, Vec<InstanceRecord>), String> {
         self.run_impl(jobs, true)
     }
 
-    fn run_impl(
-        &self,
-        jobs: &[SimJob],
-        record_trace: bool,
-    ) -> Result<(SimMetrics, Vec<dagscope_trace::InstanceRecord>), String> {
+    /// Reject instances that could never fit an empty machine: with online
+    /// load, an instance must fit in the most-free hour of the day, or the
+    /// workload can never finish.
+    fn check_capacity(&self, jobs: &[SimJob]) -> Result<(), String> {
         let cluster_cfg = &self.cfg.cluster;
-        // With online load, an instance must fit in the most-free hour of
-        // the day, or the workload can never finish.
         let min_reserved_frac = self.cfg.online_load.map_or(0.0, |load| {
             (0..24)
                 .map(|h| load.fraction_at(h * 3_600))
@@ -145,80 +309,148 @@ impl Simulator {
                 }
             }
         }
-        if jobs.is_empty() {
-            return Ok((SimMetrics::default(), Vec::new()));
-        }
+        Ok(())
+    }
 
-        let mut cluster = Cluster::new(cluster_cfg.clone());
-
-        // Compressed arrivals, preserving relative order from time zero.
+    /// Initial job states, arrivals compressed and shifted so the first
+    /// arrival is at time zero.
+    fn job_states(&self, jobs: &[SimJob]) -> Vec<JobState> {
         let min_arrival = jobs.iter().map(|j| j.arrival).min().unwrap_or(0);
-        let arrival = |j: &SimJob| -> i64 {
-            ((j.arrival - min_arrival) as f64 / self.cfg.arrival_compression.max(1e-9)) as i64
-        };
-
-        // Job-level policy keys, frozen at admission; the policy reports
-        // how many jobs it had no usable prediction for.
-        let crate::policy::FrozenKeys { keys, unknown_jobs } = self.policy.freeze(jobs);
-        let downstream: Vec<Vec<i64>> = jobs.iter().map(|j| j.downstream_critical_path()).collect();
-        // Dispatch order: (job key, job index, deeper downstream critical
-        // path first). Total and strict over distinct (job, node) pairs.
-        let dispatch_order = |a: &ReadyTask, b: &ReadyTask| {
-            keys[a.job]
-                .partial_cmp(&keys[b.job])
-                .unwrap()
-                .then(a.job.cmp(&b.job))
-                .then(downstream[b.job][b.node].cmp(&downstream[a.job][a.node]))
-                .then(a.node.cmp(&b.node))
-        };
-
-        let mut job_state: Vec<JobState> = jobs
-            .iter()
+        jobs.iter()
             .map(|j| JobState {
-                arrival: arrival(j),
+                arrival: ((j.arrival - min_arrival) as f64 / self.cfg.arrival_compression.max(1e-9))
+                    as i64,
                 finished_tasks: 0,
                 finish_time: None,
             })
-            .collect();
-        let mut task_state: Vec<Vec<TaskState>> = jobs
+            .collect()
+    }
+
+    /// Metrics of a finished run; errors when some job never completed.
+    fn metrics(
+        &self,
+        jobs: &[SimJob],
+        job_state: &[JobState],
+        util_area: f64,
+        counters: Counters,
+    ) -> Result<SimMetrics, String> {
+        if let Some(stuck) = job_state.iter().position(|s| s.finish_time.is_none()) {
+            return Err(format!(
+                "job {} never completed (scheduler stuck)",
+                jobs[stuck].name
+            ));
+        }
+        let jcts: Vec<i64> = job_state
             .iter()
-            .map(|j| {
-                (0..j.dag.len())
-                    .map(|node| TaskState {
-                        pending_parents: j.dag.in_degree(node),
-                        waiting_instances: j.tasks[node].instances,
-                        running_instances: 0,
-                    })
-                    .collect()
+            .map(|s| s.finish_time.unwrap() - s.arrival)
+            .collect();
+        let makespan = job_state
+            .iter()
+            .map(|s| s.finish_time.unwrap())
+            .max()
+            .unwrap_or(0);
+        let total_cpu = self.cfg.cluster.cpu_per_machine * self.cfg.cluster.machines as f64;
+        let mean_util = if makespan > 0 {
+            util_area / (makespan as f64 * total_cpu)
+        } else {
+            0.0
+        };
+        let mut metrics = SimMetrics::from_jcts(self.policy.label(), jcts, makespan, mean_util);
+        metrics.evictions = counters.evictions;
+        metrics.unknown_jobs = counters.unknown_jobs;
+        metrics.events = counters.events;
+        Ok(metrics)
+    }
+
+    fn run_impl(
+        &self,
+        jobs: &[SimJob],
+        record_trace: bool,
+    ) -> Result<(SimMetrics, Vec<InstanceRecord>), String> {
+        self.check_capacity(jobs)?;
+        if jobs.is_empty() {
+            return Ok((SimMetrics::default(), Vec::new()));
+        }
+        let cluster_cfg = &self.cfg.cluster;
+        let mut cluster = Cluster::new(cluster_cfg.clone());
+        let mut job_state = self.job_states(jobs);
+
+        // Job-level policy keys, frozen at admission; the policy reports
+        // how many jobs it had no usable prediction for.
+        let FrozenKeys { keys, unknown_jobs } = self.policy.freeze(jobs);
+        let downstream: Vec<Vec<i64>> = jobs.iter().map(|j| j.downstream_critical_path()).collect();
+
+        // Tasks are numbered flat: job `j`'s node `n` is `base[j] + n`.
+        let mut base = Vec::with_capacity(jobs.len() + 1);
+        base.push(0usize);
+        for job in jobs {
+            base.push(base[base.len() - 1] + job.dag.len());
+        }
+        let task_count = base[jobs.len()];
+        assert!(
+            jobs.len() <= u32::MAX as usize && task_count <= u32::MAX as usize,
+            "workload too large for u32 task ids"
+        );
+
+        // Static dispatch rank: (job key, job index, deeper downstream
+        // critical path first, node). Total and strict over distinct
+        // (job, node) pairs.
+        let mut by_rank: Vec<(u32, u32)> = jobs
+            .iter()
+            .enumerate()
+            .flat_map(|(j, job)| (0..job.dag.len() as u32).map(move |n| (j as u32, n)))
+            .collect();
+        by_rank.sort_by(|&(ja, na), &(jb, nb)| {
+            let (ja, na, jb, nb) = (ja as usize, na as usize, jb as usize, nb as usize);
+            keys[ja]
+                .partial_cmp(&keys[jb])
+                .unwrap()
+                .then(ja.cmp(&jb))
+                .then(downstream[jb][nb].cmp(&downstream[ja][na]))
+                .then(na.cmp(&nb))
+        });
+        let mut rank_of = vec![0u32; task_count];
+        for (rank, &(j, n)) in by_rank.iter().enumerate() {
+            rank_of[base[j as usize] + n as usize] = rank as u32;
+        }
+
+        let mut task_state: Vec<TaskState> = jobs
+            .iter()
+            .flat_map(|j| {
+                (0..j.dag.len()).map(|node| TaskState {
+                    pending_parents: j.dag.in_degree(node),
+                    waiting_instances: j.tasks[node].instances,
+                    running_instances: 0,
+                })
             })
             .collect();
+        let mut ready = ReadyTree::new(task_count);
+        // A task enters the ready tree when it has no pending parent and
+        // an instance waiting, and leaves when its last one is placed.
+        let mark_ready = |ready: &mut ReadyTree, j: usize, node: usize, st: &TaskState| {
+            if st.waiting_instances > 0 {
+                let task = &jobs[j].tasks[node];
+                ready.insert(rank_of[base[j] + node] as usize, task.cpu, task.mem);
+            }
+        };
+        let mut stairs = Staircase::default();
 
         // Event queues.
         let mut arrivals: Vec<usize> = (0..jobs.len()).collect();
         arrivals.sort_by_key(|&i| (job_state[i].arrival, i));
         let mut next_arrival = 0usize;
-        // (finish_time, seq, job, node, machine, start_time)
-        #[allow(clippy::type_complexity)]
-        let mut finishes: BinaryHeap<Reverse<(i64, u64, usize, usize, usize, i64)>> =
-            BinaryHeap::new();
+        let mut finishes: BinaryHeap<Finish> = BinaryHeap::new();
         let mut seq = 0u64;
-        let mut trace_rows: Vec<dagscope_trace::InstanceRecord> = Vec::new();
-        // Eviction bookkeeping: live instances per machine (youngest last)
-        // and tombstones for killed-but-still-queued finish events.
-        let mut live_on_machine: Vec<Vec<u64>> = vec![Vec::new(); cluster_cfg.machines];
-        let mut live_info: std::collections::HashMap<u64, (usize, usize)> =
-            std::collections::HashMap::new();
-        let mut tombstones: std::collections::HashSet<u64> = std::collections::HashSet::new();
-        let mut evictions = 0u64;
+        let mut trace_rows: Vec<InstanceRecord> = Vec::new();
+        let mut live = self
+            .cfg
+            .evict_for_online
+            .then(|| LiveSet::new(cluster_cfg.machines));
+        let mut counters = Counters {
+            unknown_jobs,
+            ..Counters::default()
+        };
 
-        // `ready` holds tasks in frozen dispatch order at all times; tasks
-        // becoming ready land in `fresh` and are merged in (sort the few
-        // newcomers, one linear merge) instead of re-sorting the whole
-        // queue every event — the difference between O(R log R) and
-        // O(R + F log F) per event once 100k jobs are in flight.
-        let mut ready: Vec<ReadyTask> = Vec::new();
-        let mut fresh: Vec<ReadyTask> = Vec::new();
-        let mut still_ready: Vec<ReadyTask> = Vec::new();
         let mut busy_cpu = 0.0f64;
         let mut util_area = 0.0f64;
         let mut last_time = 0i64;
@@ -232,15 +464,14 @@ impl Simulator {
             // reservation reconfiguration.
             let t_arr = arrivals.get(next_arrival).map(|&i| job_state[i].arrival);
             let t_fin = finishes.peek().map(|Reverse((t, ..))| *t);
-            let work_remains = next_arrival < arrivals.len()
-                || !finishes.is_empty()
-                || !ready.is_empty()
-                || !fresh.is_empty();
+            let work_remains =
+                next_arrival < arrivals.len() || !finishes.is_empty() || !ready.is_empty();
             let t_cfg = if work_remains { next_reconfig } else { None };
             now = match [t_arr, t_fin, t_cfg].into_iter().flatten().min() {
                 Some(t) => t,
                 None => break,
             };
+            counters.events += 1;
             util_area += busy_cpu * (now - last_time) as f64;
             last_time = now;
 
@@ -249,9 +480,10 @@ impl Simulator {
             {
                 let j = arrivals[next_arrival];
                 next_arrival += 1;
-                for (node, st) in task_state[j].iter().enumerate() {
+                for node in 0..jobs[j].dag.len() {
+                    let st = &task_state[base[j] + node];
                     if st.pending_parents == 0 {
-                        fresh.push(ReadyTask { job: j, node });
+                        mark_ready(&mut ready, j, node, st);
                     }
                 }
             }
@@ -262,35 +494,18 @@ impl Simulator {
                     break;
                 }
                 finishes.pop();
-                if tombstones.remove(&sq) {
-                    continue; // evicted earlier; capacity already returned
-                }
-                live_info.remove(&sq);
-                if let Some(pos) = live_on_machine[machine].iter().position(|&x| x == sq) {
-                    live_on_machine[machine].swap_remove(pos);
+                if let Some(live) = &mut live {
+                    if !live.finish(sq, machine) {
+                        continue; // evicted earlier; capacity already returned
+                    }
                 }
                 let task = &jobs[j].tasks[node];
                 if record_trace {
-                    trace_rows.push(dagscope_trace::InstanceRecord {
-                        instance_name: format!("{}_{}_{}", jobs[j].name, node, sq),
-                        task_name: jobs[j].dag.task_name(node).to_string(),
-                        job_name: jobs[j].name.clone(),
-                        task_type: "1".into(),
-                        status: dagscope_trace::Status::Terminated,
-                        start_time: started,
-                        end_time: t,
-                        machine_id: format!("m_{}", machine + 1).into(),
-                        seq_no: 1,
-                        total_seq_no: 1,
-                        cpu_avg: task.cpu * 0.7,
-                        cpu_max: task.cpu,
-                        mem_avg: task.mem * 0.7,
-                        mem_max: task.mem,
-                    });
+                    trace_rows.push(instance_record(&jobs[j], node, sq, machine, started, t));
                 }
                 cluster.release(machine, task.cpu, task.mem);
                 busy_cpu -= task.cpu;
-                let st = &mut task_state[j][node];
+                let st = &mut task_state[base[j] + node];
                 st.running_instances -= 1;
                 if st.running_instances == 0 && st.waiting_instances == 0 {
                     // Task complete.
@@ -299,13 +514,10 @@ impl Simulator {
                         job_state[j].finish_time = Some(now);
                     }
                     for &c in jobs[j].dag.children(node) {
-                        let cs = &mut task_state[j][c as usize];
+                        let cs = &mut task_state[base[j] + c as usize];
                         cs.pending_parents -= 1;
                         if cs.pending_parents == 0 {
-                            fresh.push(ReadyTask {
-                                job: j,
-                                node: c as usize,
-                            });
+                            mark_ready(&mut ready, j, c as usize, cs);
                         }
                     }
                 }
@@ -324,24 +536,21 @@ impl Simulator {
                             // Shortfall: online load outranks batch — evict
                             // youngest batch instances until satisfied.
                             while self.cfg.evict_for_online && target - *r > 1e-9 {
-                                let Some(victim) = live_on_machine[m].pop() else {
+                                let Some((vj, vnode)) =
+                                    live.as_mut().and_then(|live| live.evict_youngest(m))
+                                else {
                                     break;
                                 };
-                                let (vj, vnode) = live_info.remove(&victim).expect("live victim");
                                 let vtask = &jobs[vj].tasks[vnode];
                                 cluster.release(m, vtask.cpu, vtask.mem);
                                 busy_cpu -= vtask.cpu;
-                                tombstones.insert(victim);
-                                evictions += 1;
-                                let vst = &mut task_state[vj][vnode];
+                                counters.evictions += 1;
+                                let vst = &mut task_state[base[vj] + vnode];
                                 vst.running_instances -= 1;
                                 vst.waiting_instances += 1;
-                                let rt = ReadyTask {
-                                    job: vj,
-                                    node: vnode,
-                                };
-                                if !ready.contains(&rt) && !fresh.contains(&rt) {
-                                    fresh.push(rt);
+                                // Already queued unless nothing was waiting.
+                                if vst.waiting_instances == 1 {
+                                    mark_ready(&mut ready, vj, vnode, vst);
                                 }
                                 *r += cluster.reserve_cpu(m, target - *r);
                             }
@@ -354,38 +563,18 @@ impl Simulator {
                 }
             }
 
-            // Dispatch in frozen policy order. Merge newcomers into the
-            // sorted queue; within one pass, capacity only shrinks, so any
-            // demand dominating an already-failed (cpu, mem) pair is
-            // skipped without scanning the machines again.
-            if !fresh.is_empty() {
-                fresh.sort_by(&dispatch_order);
-                let mut merged = Vec::with_capacity(ready.len() + fresh.len());
-                let (mut i, mut j) = (0usize, 0usize);
-                while i < ready.len() && j < fresh.len() {
-                    if dispatch_order(&ready[i], &fresh[j]) != std::cmp::Ordering::Greater {
-                        merged.push(ready[i]);
-                        i += 1;
-                    } else {
-                        merged.push(fresh[j]);
-                        j += 1;
-                    }
-                }
-                merged.extend_from_slice(&ready[i..]);
-                merged.extend_from_slice(&fresh[j..]);
-                ready = merged;
-                fresh.clear();
+            // Dispatch: every ready task that fits somewhere, in rank
+            // order (see the module docs for why this is the full pass).
+            if ready.is_empty() {
+                continue;
             }
-            still_ready.clear();
-            // Pareto-minimal demands that failed to place this pass.
-            let mut failed: Vec<(f64, f64)> = Vec::new();
-            for rt in ready.drain(..) {
-                let task = &jobs[rt.job].tasks[rt.node];
-                if failed.iter().any(|&(c, m)| task.cpu >= c && task.mem >= m) {
-                    still_ready.push(rt);
-                    continue;
-                }
-                let st = &mut task_state[rt.job][rt.node];
+            stairs.rebuild(&cluster);
+            let mut from = 0;
+            while let Some(rank) = ready.next_fit(from, &|c, m| stairs.fits(c, m)) {
+                from = rank + 1;
+                let (j, node) = (by_rank[rank].0 as usize, by_rank[rank].1 as usize);
+                let task = &jobs[j].tasks[node];
+                let st = &mut task_state[base[j] + node];
                 while st.waiting_instances > 0 {
                     match cluster.place(task.cpu, task.mem) {
                         Some(machine) => {
@@ -393,13 +582,14 @@ impl Simulator {
                             st.running_instances += 1;
                             busy_cpu += task.cpu;
                             seq += 1;
-                            live_on_machine[machine].push(seq);
-                            live_info.insert(seq, (rt.job, rt.node));
+                            if let Some(live) = &mut live {
+                                live.start(seq, machine, j, node);
+                            }
                             finishes.push(Reverse((
                                 now + task.duration.max(1),
                                 seq,
-                                rt.job,
-                                rt.node,
+                                j,
+                                node,
                                 machine,
                                 now,
                             )));
@@ -407,40 +597,51 @@ impl Simulator {
                         None => break,
                     }
                 }
-                if st.waiting_instances > 0 {
-                    failed.retain(|&(c, m)| !(c >= task.cpu && m >= task.mem));
-                    failed.push((task.cpu, task.mem));
-                    still_ready.push(rt);
+                if st.waiting_instances == 0 {
+                    ready.remove(rank);
                 }
+                stairs.rebuild(&cluster);
             }
-            std::mem::swap(&mut ready, &mut still_ready);
         }
 
-        if let Some(stuck) = job_state.iter().position(|s| s.finish_time.is_none()) {
-            return Err(format!(
-                "job {} never completed (scheduler stuck)",
-                jobs[stuck].name
-            ));
-        }
-
-        let jcts: Vec<i64> = job_state
-            .iter()
-            .map(|s| s.finish_time.unwrap() - s.arrival)
-            .collect();
-        let makespan = job_state
-            .iter()
-            .map(|s| s.finish_time.unwrap())
-            .max()
-            .unwrap_or(0);
-        let mean_util = if makespan > 0 {
-            util_area / (makespan as f64 * cluster.total_cpu())
-        } else {
-            0.0
-        };
-        let mut metrics = SimMetrics::from_jcts(self.policy.label(), jcts, makespan, mean_util);
-        metrics.evictions = evictions;
-        metrics.unknown_jobs = unknown_jobs;
+        let metrics = self.metrics(jobs, &job_state, util_area, counters)?;
         Ok((metrics, trace_rows))
+    }
+}
+
+/// Run-wide counters that end up in [`SimMetrics`].
+#[derive(Debug, Default, Clone, Copy)]
+struct Counters {
+    evictions: u64,
+    unknown_jobs: u64,
+    events: u64,
+}
+
+/// The `batch_instance` row of one finished instance.
+fn instance_record(
+    job: &SimJob,
+    node: usize,
+    seq: u64,
+    machine: usize,
+    started: i64,
+    ended: i64,
+) -> InstanceRecord {
+    let task = &job.tasks[node];
+    InstanceRecord {
+        instance_name: format!("{}_{}_{}", job.name, node, seq),
+        task_name: job.dag.task_name(node).to_string(),
+        job_name: job.name.clone(),
+        task_type: "1".into(),
+        status: dagscope_trace::Status::Terminated,
+        start_time: started,
+        end_time: ended,
+        machine_id: format!("m_{}", machine + 1).into(),
+        seq_no: 1,
+        total_seq_no: 1,
+        cpu_avg: task.cpu * 0.7,
+        cpu_max: task.cpu,
+        mem_avg: task.mem * 0.7,
+        mem_max: task.mem,
     }
 }
 

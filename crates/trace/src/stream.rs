@@ -753,12 +753,13 @@ impl ScanState {
                 f & DEAD == 0 && f & ELIGIBLE != 0
             })
             .collect();
+        // Scan order is nearly name order (only late jobs are out of
+        // place), which the stable run-aware merge sort handles in about
+        // one pass; names are unique, so stability changes nothing.
         let names = &self.names;
-        eligible.sort_unstable_by(|&a, &b| {
+        eligible.sort_by(|&a, &b| {
             let (mut ba, mut bb) = ([0u8; 22], [0u8; 22]);
-            let sa = names.bytes(a, &mut ba).to_vec();
-            let sb = names.bytes(b, &mut bb);
-            sa.as_slice().cmp(sb)
+            names.bytes(a, &mut ba).cmp(names.bytes(b, &mut bb))
         });
         self.eligible = eligible;
         Ok(())
@@ -1139,6 +1140,32 @@ mod tests {
         }
         assert_eq!(index.lookup(a, |idx| keys[idx as usize] == a), Some(0));
         assert_eq!(index.lookup(b, |idx| keys[idx as usize] == b), Some(1));
+    }
+
+    #[test]
+    fn eligible_order_is_name_order_with_late_whole_jobs() {
+        // Whole jobs arriving after jobs with greater names, numeric names
+        // whose byte order differs from their numeric order, and a textual
+        // name with a leading zero.
+        let names = [
+            "j_200", "j_30", "j_1000", "j_4", "j_1", "j_0500", "j_77", "j_3",
+        ];
+        let mut doc = String::new();
+        for n in names {
+            doc.push_str(&format!("M1,2,{n},1,Terminated,100,200,100,0.5\n"));
+            doc.push_str(&format!("R2_1,2,{n},1,Terminated,200,300,100,0.5\n"));
+        }
+        let t = scan_str(&doc);
+        assert_eq!(t.eligible_count(), names.len());
+        let state = &t.state;
+        let eligible: Vec<String> = state
+            .eligible
+            .iter()
+            .map(|&i| state.name_string(i))
+            .collect();
+        let mut sorted: Vec<String> = names.iter().map(|n| n.to_string()).collect();
+        sorted.sort();
+        assert_eq!(eligible, sorted);
     }
 
     #[test]
